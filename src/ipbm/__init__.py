@@ -24,9 +24,8 @@ from .quadrature import (QuadratureRule, box_rule, gauss_legendre,
 from .runner import (ExperimentConfig, ExperimentReport, parse_config,
                      patch_test, report_csv, report_text, run_experiment,
                      write_report)
-from .solver import (ErrorSummary, SolveResult, condition_number,
-                     convergence_rate, evaluate_errors, solve_least_squares,
-                     spline_values)
+from .solver import (ErrorSummary, SolveResult, convergence_rate,
+                     evaluate_errors, solve_least_squares, spline_values)
 from .tet_spline import (S0dSpace, TetPartition, build_s0d_space,
                          build_smoothness_matrix, build_type5_partition,
                          domain_points, eval_bernstein, eval_s0d_batch,

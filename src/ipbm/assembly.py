@@ -345,40 +345,24 @@ def assemble_ipbc(space, bvp, gamma, B, config):
 
 
 # ---------------------------------------------------------------------------
-# Debug dump: "row col value" triplets, then the right-hand side
+# Debug dump: one .npz archive of the CSR arrays, rhs and block bounds
 
 def dump_system(system, path):
-    """Write H and r as text: header, sparse triplets, rhs, block labels."""
-    H = sp.coo_matrix(system.H)
-    with open(path, "w") as f:
-        f.write(f"# rows cols nnz: {H.shape[0]} {H.shape[1]} {H.nnz}\n")
-        for i, j, v in zip(H.row, H.col, H.data):
-            f.write(f"{i} {j} {v:.17g}\n")
-        f.write("# rhs\n")
-        for v in system.rhs:
-            f.write(f"{v:.17g}\n")
-        f.write("# blocks\n")
-        for label, sl in system.blocks.items():
-            f.write(f"{label} {sl.start} {sl.stop}\n")
+    """Write H, r and the row blocks to path as an .npz archive."""
+    H = sp.csr_matrix(system.H)
+    # Through a file handle, so np.savez keeps path as given.
+    with open(path, "wb") as f:
+        np.savez(f, data=H.data, indices=H.indices, indptr=H.indptr,
+                 shape=H.shape, rhs=system.rhs, labels=list(system.blocks),
+                 bounds=[(sl.start, sl.stop)
+                         for sl in system.blocks.values()])
 
 
 def load_system_dump(path):
     """Read a dump back; inverse of dump_system."""
-    with open(path) as f:
-        header = f.readline().split(":")[1].split()
-        nrows, ncols, nnz = (int(v) for v in header)
-        rows, cols, vals = [], [], []
-        for _ in range(nnz):
-            i, j, v = f.readline().split()
-            rows.append(int(i))
-            cols.append(int(j))
-            vals.append(float(v))
-        assert f.readline().startswith("# rhs")
-        rhs = np.array([float(f.readline()) for _ in range(nrows)])
-        assert f.readline().startswith("# blocks")
-        blocks = {}
-        for line in f:
-            label, start, stop = line.split()
-            blocks[label] = slice(int(start), int(stop))
-    H = sp.csr_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-    return LinearSystem(H, rhs, blocks)
+    with np.load(path) as z:
+        H = sp.csr_matrix((z["data"], z["indices"], z["indptr"]),
+                          shape=tuple(z["shape"]))
+        blocks = {str(label): slice(int(start), int(stop))
+                  for label, (start, stop) in zip(z["labels"], z["bounds"])}
+        return LinearSystem(H, z["rhs"], blocks)

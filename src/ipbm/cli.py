@@ -5,7 +5,8 @@ Verbs:
                                    key=value overrides may come before
                                    or after --out
     patch-test                     exactness checks for both spaces
-    sweep <config> [<config>...]   batch of experiments
+    sweep <config> [<config>...]   batch of experiments; configs may
+                                   come before or after --out
 
 Exit status is 0 on success, 1 on a failed patch test, 2 on a
 configuration or input error.
@@ -83,16 +84,19 @@ def main(argv=None):
     p_patch.add_argument("--operator", default="laplace")
 
     p_sweep = sub.add_parser("sweep", help="run several configs")
-    p_sweep.add_argument("configs", nargs="+")
+    p_sweep.add_argument("configs", nargs="+",
+                         help="config files, before or after --out")
     p_sweep.add_argument("--out", default=None, help="output directory")
 
-    # argparse closes the override list at the first option, so overrides
-    # after --out come back as leftovers; unknown options are still errors.
+    # argparse closes a positional list at the first option, so overrides
+    # or configs after --out come back as leftovers; unknown options are
+    # still errors.
     args, extra = parser.parse_known_args(argv)
     if extra:
-        if args.command != "run" or any(t.startswith("-") for t in extra):
+        trailing = {"run": "override", "sweep": "configs"}.get(args.command)
+        if trailing is None or any(t.startswith("-") for t in extra):
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        args.override += extra
+        getattr(args, trailing).extend(extra)
     try:
         if args.command == "run":
             return _cmd_run(args)

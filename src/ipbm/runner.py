@@ -32,24 +32,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-_DEFAULTS = {
-    "domain": "sphere",
-    "solution": "sin5",
-    "operator": "laplace",
-    "method": "IPBF",
-    "space": "tensor-product",
-    "d": "4",
-    "m_list": "5,6",
-    "nb": "1000",
-    "lambda": "0.01",
-    "lambda_s": "0.01",
-    "m_c": "3",
-    "d_c": "3",
-    "seed": "42",
-    "eval_grid": "40",
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     domain: str = "sphere"
@@ -67,7 +49,8 @@ class ExperimentConfig:
     seed: int = 42
     eval_grid: int = 40
 
-    def echo_lines(self):
+    def echo_pairs(self):
+        """(config-file key, value string) for every field, in file order."""
         d = self.degrees
         deg = str(d[0]) if len(set(d)) == 1 else ",".join(map(str, d))
         pairs = [
@@ -80,7 +63,14 @@ class ExperimentConfig:
             ("d_c", self.d_c), ("seed", self.seed),
             ("eval_grid", self.eval_grid),
         ]
-        return [f"{k} = {v}" for k, v in pairs]
+        return [(k, str(v)) for k, v in pairs]
+
+    def echo_lines(self):
+        return [f"{k} = {v}" for k, v in self.echo_pairs()]
+
+
+# Config-file defaults are the echo of the default config.
+_DEFAULTS = dict(ExperimentConfig().echo_pairs())
 
 
 def parse_config(path=None, overrides=()):

@@ -1,9 +1,14 @@
 """Least-squares solution of the stacked systems, conditioning, errors.
 
-Desk-scale systems (up to 4000 unknowns) go through a dense orthogonal
-factorization; larger ones through diagonally preconditioned conjugate
-gradients on the normal equations G c = H' r.  The reported condition
-number is always that of the Gram matrix G = H' H.
+Each system is factored once, and that factorization gives both the
+coefficients and the reported condition number, which is always that of
+the Gram matrix G = H' H.  Desk-scale systems (up to 4000 unknowns) are
+solved on H itself by a dense SVD (LAPACK gelsd), whose singular values
+give the Gram condition exactly.  Larger ones form the normal equations
+G c = H' r and factor G once with a sparse LU; the same LU drives an
+inverse-power estimate of ||G^-1|| beside a power estimate of ||G||,
+good to roughly a factor of two.  Diagonally preconditioned CG on the
+normal equations remains only as an explicitly requested path.
 """
 
 import time
@@ -18,7 +23,12 @@ from .tet_spline import S0dSpace, eval_s0d_batch
 from .tp_spline import TensorProductSpace, eval_tp_batch
 
 DENSE_SOLVE_LIMIT = 4000
-EXACT_CONDITION_LIMIT = 3000
+
+# Path -> SolveResult.method.  "dense-qr" is the dense orthogonal
+# factorization of H (gelsd: Householder bidiagonalization, then the
+# SVD); perfbench's tracer books dense-path time by that name.
+METHODS = {"dense": "dense-qr", "sparse": "sparse-lu",
+           "iterative": "normal-cg"}
 
 
 @dataclass
@@ -42,95 +52,93 @@ def _system_parts(system):
 def solve_least_squares(system, force_path=None, compute_condition=True):
     """Minimize ||H c - r||_2 for the stacked system.
 
-    force_path overrides the size-based choice: "dense" or "iterative".
-    Rank deficiency on the dense path is reported, not fatal; the
-    minimum-norm solution is returned with a flag.
+    Up to DENSE_SOLVE_LIMIT unknowns the dense path runs, above it the
+    sparse LU path.  force_path overrides that choice: "dense", or
+    "iterative" for CG on the normal equations, which the size rule never
+    picks.  Numerical rank deficiency is reported, not fatal: the
+    solution (minimum-norm on the dense path) is returned with the flag
+    set and an infinite Gram condition.  A G that the sparse LU finds
+    exactly singular raises RuntimeError.  With compute_condition=False
+    the Gram condition is nan and the sparse paths skip its estimate.
+    setup_seconds covers forming the matrices to factor, solve_seconds
+    the factorization, solution and condition.
     """
     H, r = _system_parts(system)
     rows, cols = H.shape
     if rows < cols:
         raise ValueError(f"underdetermined system: {rows} rows < {cols} cols")
+    if force_path not in (None, "dense", "iterative"):
+        raise ValueError(f"unknown path {force_path!r}")
     path = force_path or ("dense" if cols <= DENSE_SOLVE_LIMIT
-                          else "iterative")
+                          else "sparse")
+    t0 = time.perf_counter()
     if path == "dense":
-        t0 = time.perf_counter()
         Hd = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
         t1 = time.perf_counter()
         rank_tol = max(rows, cols) * np.finfo(float).eps
-        c, _, rank, _ = scipy.linalg.lstsq(Hd, r, lapack_driver="gelsy",
+        c, _, rank, s = scipy.linalg.lstsq(Hd, r, lapack_driver="gelsd",
                                            cond=rank_tol)
-        t2 = time.perf_counter()
         deficient = rank < cols
-        setup_s, solve_s = t1 - t0, t2 - t1
-        method = "dense-qr"
-    elif path == "iterative":
-        t0 = time.perf_counter()
-        Hs = sp.csr_matrix(H)
-        G = (Hs.T @ Hs).tocsr()
-        b = Hs.T @ r
-        diag = G.diagonal()
-        diag[diag <= 0] = 1.0
-        M = sp.diags(1.0 / diag)
-        t1 = time.perf_counter()
-        c, info = spla.cg(G, b, rtol=1e-12, atol=0.0,
-                          maxiter=10 * cols, M=M)
-        t2 = time.perf_counter()
-        if info > 0:
-            raise RuntimeError(f"normal-equation CG did not converge "
-                               f"within {10 * cols} iterations")
-        deficient = False
-        setup_s, solve_s = t1 - t0, t2 - t1
-        method = "normal-cg"
+        cond = np.inf if deficient else (s[0] / s[-1]) ** 2
     else:
-        raise ValueError(f"unknown path {force_path!r}")
+        Hs = sp.csr_matrix(H)
+        G = (Hs.T @ Hs).tocsc()
+        b = Hs.T @ r
+        t1 = time.perf_counter()
+        if path == "sparse":
+            lu = _sparse_lu(G, rows, cols)
+            c = lu.solve(b)
+        else:
+            c = _normal_cg(G, b)
+            lu = _sparse_lu(G, rows, cols) if compute_condition else None
+        cond = _gram_condition_estimate(G, lu) if compute_condition else np.nan
+        deficient = np.isinf(cond)
+    t2 = time.perf_counter()
+    if not compute_condition:
+        cond = np.nan
     residual = float(np.linalg.norm(H @ c - r))
-    cond = condition_number(system) if compute_condition else float("nan")
-    return SolveResult(c, residual, cond, setup_s, solve_s, method,
-                       rank_deficient=deficient)
+    return SolveResult(c, residual, float(cond), t1 - t0, t2 - t1,
+                       METHODS[path], rank_deficient=bool(deficient))
 
 
-def condition_number(system):
-    """2-norm condition of the Gram matrix G = H' H.
-
-    Exact through singular values up to 3000 unknowns; a power /
-    inverse-power estimate (good to roughly a factor of two) above.
-    Returns +inf when the system is numerically rank deficient.
-    """
-    H, _ = _system_parts(system)
-    rows, cols = H.shape
-    if cols <= EXACT_CONDITION_LIMIT:
-        Hd = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
-        s = scipy.linalg.svdvals(Hd)
-        tol = s[0] * max(rows, cols) * np.finfo(float).eps
-        if s[-1] <= tol:
-            return float("inf")
-        return float((s[0] / s[-1]) ** 2)
-    Hs = sp.csr_matrix(H)
-    G = (Hs.T @ Hs).tocsc()
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(cols)
-    lam_max = 0.0
-    for _ in range(60):
-        v = G @ v
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            return float("inf")
-        v /= nrm
-        lam_max = nrm
+def _sparse_lu(G, rows, cols):
     try:
-        lu = spla.splu(G)
-    except RuntimeError:
-        return float("inf")
-    w = rng.standard_normal(cols)
-    inv_norm = 0.0
-    for _ in range(60):
-        w = lu.solve(w)
-        nrm = np.linalg.norm(w)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            return float("inf")
-        w /= nrm
-        inv_norm = nrm
-    return float(lam_max * inv_norm)
+        return spla.splu(G)
+    except RuntimeError as exc:
+        raise RuntimeError(f"Gram matrix of the {rows}x{cols} system "
+                           f"is singular: {exc}") from exc
+
+
+def _normal_cg(G, b):
+    """Diagonally preconditioned CG on G c = b, capped at 10 n steps."""
+    diag = G.diagonal()
+    diag[diag <= 0] = 1.0
+    maxiter = 10 * G.shape[0]
+    c, info = spla.cg(G, b, rtol=1e-12, atol=0.0, maxiter=maxiter,
+                      M=sp.diags(1.0 / diag))
+    if info > 0:
+        raise RuntimeError(f"normal-equation CG did not converge "
+                           f"within {maxiter} iterations")
+    return c
+
+
+def _gram_condition_estimate(G, lu):
+    """||G|| ||G^-1|| by 60 power steps on G and 60 on G^-1 (via lu).
+
+    Returns +inf when either iteration collapses to zero or overflows.
+    """
+    rng = np.random.default_rng(0)
+    norms = []
+    for apply in (G.dot, lu.solve):
+        v = rng.standard_normal(G.shape[0])
+        for _ in range(60):
+            v = apply(v)
+            nrm = np.linalg.norm(v)
+            if not np.isfinite(nrm) or nrm == 0.0:
+                return float("inf")
+            v /= nrm
+        norms.append(nrm)
+    return float(norms[0] * norms[1])
 
 
 @dataclass(frozen=True)

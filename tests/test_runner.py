@@ -208,7 +208,7 @@ class TestCli:
         cfg2 = tmp_path / "b.cfg"
         cfg2.write_text(FAST_CFG.replace("1,2,3", "2"))
         out = tmp_path / "sweep"
-        assert cli_main(["sweep", str(cfg1), str(cfg2),
-                         "--out", str(out)]) == 0
+        assert cli_main(["sweep", str(cfg1), "--out", str(out),
+                         str(cfg2)]) == 0
         assert (out / "a" / "report.txt").exists()
         assert (out / "b" / "report.txt").exists()

@@ -3,8 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import ipbm.solver as solver_mod
-from ipbm.solver import (condition_number, convergence_rate, evaluate_errors,
-                         solve_least_squares)
+from ipbm.solver import convergence_rate, evaluate_errors, solve_least_squares
 from ipbm.tp_spline import build_tp_space, interpolate_tp
 
 UNIT_BOX = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
@@ -48,6 +47,29 @@ class TestLeastSquares:
         assert dense.method == "dense-qr"
         assert iterative.method == "normal-cg"
 
+    def test_sparse_path_matches_dense(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        H = sp.random(300, 80, density=0.1, random_state=4,
+                      data_rvs=rng.standard_normal)
+        H = sp.vstack([H, sp.eye(80)]).tocsr()
+        r = rng.normal(size=380)
+        dense = solve_least_squares((H, r))
+        monkeypatch.setattr(solver_mod, "DENSE_SOLVE_LIMIT", 79)
+        sparse = solve_least_squares((H, r))
+        scale = np.abs(dense.coefficients).max()
+        assert np.abs(dense.coefficients
+                      - sparse.coefficients).max() < 1e-7 * scale
+        assert 0.5 <= sparse.gram_condition / dense.gram_condition <= 2.0
+        assert dense.method == "dense-qr"
+        assert sparse.method == "sparse-lu"
+
+    def test_singular_gram_on_sparse_path_raises(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "DENSE_SOLVE_LIMIT", 10)
+        H = sp.random(60, 20, density=0.3, random_state=0).tolil()
+        H[:, 7] = 0.0  # G then has a zero row and column
+        with pytest.raises(RuntimeError, match="60x20"):
+            solve_least_squares((H.tocsr(), np.ones(60)))
+
     def test_consistent_row_does_not_move_solution(self):
         rng = np.random.default_rng(5)
         H = rng.normal(size=(30, 6))
@@ -87,33 +109,37 @@ class TestLeastSquares:
         assert np.abs(base.coefficients - scaled.coefficients).max() < 1e-10
 
 
+def _gram_condition(H):
+    return solve_least_squares((H, np.zeros(H.shape[0]))).gram_condition
+
+
 class TestConditionNumber:
     def test_identity(self):
-        assert condition_number((np.eye(6), np.zeros(6))) == 1.0
+        assert _gram_condition(np.eye(6)) == 1.0
 
     def test_diagonal_squares(self):
         H = np.diag([1.0, 10.0])
-        assert abs(condition_number((H, np.zeros(2))) - 100.0) < 1e-10
+        assert abs(_gram_condition(H) - 100.0) < 1e-10
 
     def test_against_svd_oracle(self):
         rng = np.random.default_rng(9)
         H = rng.normal(size=(20, 5))
         s = np.linalg.svd(H, compute_uv=False)
         want = (s[0] / s[-1]) ** 2
-        got = condition_number((H, np.zeros(20)))
+        got = _gram_condition(H)
         assert abs(got - want) < 1e-6 * want
 
     def test_rank_deficient_reports_inf(self):
         H = np.ones((8, 3))
-        assert condition_number((H, np.zeros(8))) == np.inf
+        assert _gram_condition(H) == np.inf
 
     def test_estimate_path_within_factor_two(self, monkeypatch):
-        monkeypatch.setattr(solver_mod, "EXACT_CONDITION_LIMIT", 10)
+        monkeypatch.setattr(solver_mod, "DENSE_SOLVE_LIMIT", 10)
         rng = np.random.default_rng(10)
         H = rng.normal(size=(120, 40)) + np.vstack([np.eye(40) * 5] * 3)
         s = np.linalg.svd(H, compute_uv=False)
         want = (s[0] / s[-1]) ** 2
-        got = condition_number((sp.csr_matrix(H), np.zeros(120)))
+        got = _gram_condition(sp.csr_matrix(H))
         assert want / 2 <= got <= want * 2
 
 
