@@ -16,6 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .geometry import StlError
 from .runner import (ConfigError, parse_config, patch_test, report_text,
                      run_experiment, write_report)
 
@@ -103,7 +104,7 @@ def main(argv=None):
         if args.command == "patch-test":
             return _cmd_patch_test(args)
         return _cmd_sweep(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, StlError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

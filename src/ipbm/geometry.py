@@ -336,13 +336,24 @@ def farthest_point_downsample(cloud, nb, seed, start=None):
         raise ValueError(f"nb={nb} exceeds cloud size {len(pts)}")
     if start is None:
         start = int(np.random.default_rng(seed).integers(len(pts)))
+    # One contiguous array per axis, updated in place; the squares are
+    # summed x, y, z in the order a row sum of (pts - p)**2 takes.
+    axes = [np.ascontiguousarray(pts[:, k], dtype=float) for k in range(3)]
+    dist2 = np.full(len(pts), np.inf)
+    d2 = np.empty(len(pts))
+    tmp = np.empty(len(pts))
     chosen = np.empty(nb, dtype=np.int64)
-    chosen[0] = start
-    dist2 = np.sum((pts - pts[start]) ** 2, axis=1)
-    for i in range(1, nb):
-        nxt = int(np.argmax(dist2))
+    nxt = start
+    for i in range(nb):
         chosen[i] = nxt
-        dist2 = np.minimum(dist2, np.sum((pts - pts[nxt]) ** 2, axis=1))
+        np.subtract(axes[0], axes[0][nxt], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for x in axes[1:]:
+            np.subtract(x, x[nxt], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(d2, tmp, out=d2)
+        np.minimum(dist2, d2, out=dist2)
+        nxt = int(np.argmax(dist2))
     role = cloud.role if isinstance(cloud, PointSet) else "boundary-B"
     return PointSet(pts[chosen], role=role)
 
@@ -403,9 +414,24 @@ def _ray_parity(mesh, pts, direction, eps=1e-13):
     return _count_crossings(mesh, pts, direction, eps) % 2
 
 
+def _expand(counts):
+    """Owner i and rank 0..counts[i]-1 of each of sum(counts) slots."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts,
+                                             counts)
+    return owner, rank
+
+
 def _count_crossings(mesh, pts, direction, eps):
     """Candidate pairs from a 2D hash in the plane normal to the ray,
-    then exact intersection tests on the survivors."""
+    then exact intersection tests on the survivors.
+
+    The hash is a sorted table of (cell, triangle) entries, one per cell
+    a triangle's projected bounding box touches; each point meets the
+    triangles listed under its own cell.  The pair test is Moller-Trumbore
+    with the per-triangle terms (e2 x d, det, 1/det) computed once and
+    near-parallel triangles (|det| <= eps) dropped up front.
+    """
     v = mesh.vertices
     tris = mesh.triangles
     # orthonormal frame with the ray as third axis
@@ -415,58 +441,56 @@ def _count_crossings(mesh, pts, direction, eps):
     u1 = tangent - (tangent @ direction) * direction
     u1 /= np.linalg.norm(u1)
     u2 = np.cross(direction, u1)
+    v0 = v[tris[:, 0]]
+    e1 = v[tris[:, 1]] - v0
+    e2 = v[tris[:, 2]] - v0
+    h = np.cross(direction[None, :], e2)
+    det = np.einsum("ki,ki->k", e1, h)
+    keep = np.abs(det) > eps
+    if not keep.any():
+        return np.zeros(len(pts), dtype=np.int64)
     corners = v[tris]                                    # (M, 3, 3)
     cu = corners @ u1
     cv = corners @ u2
     lo_u, hi_u = cu.min(axis=1), cu.max(axis=1)
     lo_v, hi_v = cv.min(axis=1), cv.max(axis=1)
     cell = max(float(np.median(hi_u - lo_u)),
-               float(np.median(hi_v - lo_v)), 1e-9) * 2.0
+               float(np.median(hi_v - lo_v)), 1e-9) * 0.5
     margin = 1e-9
-    buckets = {}
-    iu0 = np.floor((lo_u - margin) / cell).astype(np.int64)
-    iu1 = np.floor((hi_u + margin) / cell).astype(np.int64)
-    iv0 = np.floor((lo_v - margin) / cell).astype(np.int64)
-    iv1 = np.floor((hi_v + margin) / cell).astype(np.int64)
-    for t in range(len(tris)):
-        for iu in range(iu0[t], iu1[t] + 1):
-            for iv in range(iv0[t], iv1[t] + 1):
-                buckets.setdefault((iu, iv), []).append(t)
-    pu = pts @ u1
-    pv = pts @ u2
-    keys = np.stack([np.floor(pu / cell).astype(np.int64),
-                     np.floor(pv / cell).astype(np.int64)], axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
-    cand_n, cand_b = [], []
-    for k, key in enumerate(map(tuple, uniq)):
-        tlist = buckets.get(key)
-        if not tlist:
-            continue
-        pidx = order[bounds[k]:bounds[k + 1]]
-        cand_n.append(np.repeat(pidx, len(tlist)))
-        cand_b.append(np.tile(np.asarray(tlist), len(pidx)))
-    crossings = np.zeros(len(pts), dtype=np.int64)
-    if not cand_n:
-        return crossings
-    cand_n = np.concatenate(cand_n)
-    cand_b = np.concatenate(cand_b)
-    v0 = v[tris[cand_b, 0]]
-    e1 = v[tris[cand_b, 1]] - v0
-    e2 = v[tris[cand_b, 2]] - v0
-    h = np.cross(direction[None, :], e2)
-    det = np.einsum("ki,ki->k", e1, h)
-    ok = np.abs(det) > eps
-    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    s = pts[cand_n] - v0
-    u = np.einsum("ki,ki->k", s, h) * inv
-    q = np.cross(s, e1)
-    w = (q @ direction) * inv
-    dist = np.einsum("ki,ki->k", q, e2) * inv
-    hit = ok & (u >= 0.0) & (w >= 0.0) & (u + w <= 1.0) & (dist > eps)
-    np.add.at(crossings, cand_n[hit], 1)
-    return crossings
+    v0, e1, e2, h = v0[keep], e1[keep], e2[keep], h[keep]
+    inv = 1.0 / det[keep]
+    iu0 = np.floor((lo_u[keep] - margin) / cell).astype(np.int64)
+    iu1 = np.floor((hi_u[keep] + margin) / cell).astype(np.int64)
+    iv0 = np.floor((lo_v[keep] - margin) / cell).astype(np.int64)
+    iv1 = np.floor((hi_v[keep] + margin) / cell).astype(np.int64)
+    u_lo, v_lo = iu0.min(), iv0.min()
+    n_u, n_v = iu1.max() - u_lo + 1, iv1.max() - v_lo + 1
+    nv = iv1 - iv0 + 1
+    tri, rank = _expand((iu1 - iu0 + 1) * nv)
+    entry_key = ((iu0[tri] + rank // nv[tri] - u_lo) * n_v
+                 + iv0[tri] + rank % nv[tri] - v_lo)
+    order = np.argsort(entry_key)
+    entry_key, entry_tri = entry_key[order], tri[order]
+    pu = np.floor((pts @ u1) / cell).astype(np.int64) - u_lo
+    pv = np.floor((pts @ u2) / cell).astype(np.int64) - v_lo
+    pidx = np.flatnonzero((pu >= 0) & (pu < n_u) & (pv >= 0) & (pv < n_v))
+    pkey = pu[pidx] * n_v + pv[pidx]
+    first = np.searchsorted(entry_key, pkey, side="left")
+    owner, rank = _expand(np.searchsorted(entry_key, pkey, side="right")
+                          - first)
+    cand_n = pidx[owner]
+    cand_b = entry_tri[first[owner] + rank]
+    # the exact test, narrowing the pairs after each condition
+    s = pts[cand_n] - v0[cand_b]
+    u = np.einsum("ki,ki->k", s, h[cand_b]) * inv[cand_b]
+    sel = u >= 0.0
+    cand_n, cand_b, s, u = cand_n[sel], cand_b[sel], s[sel], u[sel]
+    q = np.cross(s, e1[cand_b])
+    w = (q @ direction) * inv[cand_b]
+    sel = (w >= 0.0) & (u + w <= 1.0)
+    cand_n, cand_b, q = cand_n[sel], cand_b[sel], q[sel]
+    dist = np.einsum("ki,ki->k", q, e2[cand_b]) * inv[cand_b]
+    return np.bincount(cand_n[dist > eps], minlength=len(pts))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ rules on tetrahedra.
 
 Tetrahedral rules up to degree 12 come from embedded symmetric tables
 (see ``_tet_tables``); higher degrees fall back to a conical-product
-(collapsed tensor) rule whose exactness is verified at construction.
+(collapsed tensor) rule whose exactness is verified once per degree.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -158,6 +159,16 @@ def _verify_simplex_rule(bary, weights, degree, rtol=1e-12):
 _checked_tables = set()
 
 
+@lru_cache(maxsize=None)
+def _conical_rule(mq):
+    """The verified conical fallback of degree mq, with read-only arrays."""
+    bary, weights = _conical_product_barycentric(mq)
+    _verify_simplex_rule(bary, weights, mq)
+    bary.flags.writeable = False
+    weights.flags.writeable = False
+    return bary, weights
+
+
 def _reference_tet_rule(mq):
     """Barycentric nodes and unit-sum weights for even degree mq."""
     if mq % 2 or not 4 <= mq <= MAX_TET_DEGREE:
@@ -177,9 +188,7 @@ def _reference_tet_rule(mq):
             _verify_simplex_rule(bary, weights, mq)
             _checked_tables.add(mq)
         return bary, weights
-    bary, weights = _conical_product_barycentric(mq)
-    _verify_simplex_rule(bary, weights, mq)
-    return bary, weights
+    return _conical_rule(mq)
 
 
 def tet_rule(verts, mq):

@@ -5,9 +5,20 @@ resolutions.  Each resolution contributes one table row (timings,
 coefficient count, Gram condition, max and RMS errors); consecutive rows
 yield observed convergence rates.  Reports are written as an aligned
 text table, as CSV, and with the resolved configuration echoed.
+
+The geometry of a run -- the normalized domain, the boundary set B and
+the interior and boundary evaluation points -- depends only on the
+domain, ``nb``, ``eval_grid`` and ``seed``, so it is memoized on those
+fields in one bounded memo (the 8 most recently used keys).  An STL
+domain is keyed on the SHA-256 of the file's bytes as well as its path,
+so a file rewritten in place is read afresh.  Every memoized array is
+read-only, since all requests with the same key share it; a computation
+that raises is not memoized.
 """
 
 import csv
+import functools
+import hashlib
 import io
 import time
 from dataclasses import dataclass, field, asdict
@@ -134,6 +145,10 @@ def _build_config(raw):
         raise ConfigError("m_list needs values >= 2")
     if list(cfg.m_list) != sorted(set(cfg.m_list)):
         raise ConfigError("m_list must be strictly increasing")
+    if cfg.nb < 1:
+        raise ConfigError(f"nb must be >= 1, got {cfg.nb}")
+    if cfg.eval_grid < 2:
+        raise ConfigError(f"eval_grid must be >= 2, got {cfg.eval_grid}")
     return cfg
 
 
@@ -189,6 +204,11 @@ def evaluation_points(domain, eval_grid, seed):
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     cands = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
     interior = classify_interior(domain, cands).points
+    if not len(interior):
+        what = ("the analytic sphere" if domain.is_analytic else
+                f"the {len(domain.mesh.triangles)}-triangle mesh")
+        raise ConfigError(f"no point of the eval_grid={eval_grid} grid lies "
+                          f"inside {what}; raise eval_grid")
     if domain.is_analytic:
         surf = fibonacci_sphere(BOUNDARY_EVAL_COUNT, domain.sphere_center,
                                 domain.sphere_radius, seed=seed + 1).points
@@ -198,12 +218,38 @@ def evaluation_points(domain, eval_grid, seed):
     return interior, surf
 
 
+def _content_key(spec_str):
+    """SHA-256 of the bytes of an STL domain's file; None for the sphere."""
+    if spec_str.startswith("stl:"):
+        return hashlib.sha256(Path(spec_str[4:]).read_bytes()).hexdigest()
+    return None
+
+
+@functools.lru_cache(maxsize=8)
+def _geometry(spec_str, content_key, nb, eval_grid, seed):
+    """(domain, B, interior, surf) of one geometry key, all arrays read-only.
+
+    ``content_key`` is ``_content_key(spec_str)``; it only keys the memo.
+    """
+    domain = _resolve_domain(spec_str)
+    interior, surf = evaluation_points(domain, eval_grid, seed)
+    B = boundary_points(domain, nb, seed)
+    arrays = [domain.bbox, domain.transform.offset, B.points, interior, surf]
+    if domain.is_analytic:
+        arrays.append(domain.sphere_center)
+    else:
+        arrays += [domain.mesh.vertices, domain.mesh.triangles]
+    for array in arrays:
+        array.flags.writeable = False
+    return domain, B, interior, surf
+
+
 def run_experiment(config, progress=None):
     """Execute the m-sweep described by an ExperimentConfig."""
-    domain = _resolve_domain(config.domain)
     bvp = make_preset(config.solution, config.operator)
-    B = boundary_points(domain, config.nb, config.seed)
-    interior, surf = evaluation_points(domain, config.eval_grid, config.seed)
+    domain, B, interior, surf = _geometry(
+        config.domain, _content_key(config.domain), config.nb,
+        config.eval_grid, config.seed)
     eval_pts = np.vstack([interior, surf])
     report = ExperimentReport(config, n_interior_eval=len(interior),
                               n_boundary_eval=len(surf))

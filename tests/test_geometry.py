@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from ipbm.geometry import (Domain, PointSet, StlError, TriangleMesh,
-                           classify_interior, farthest_point_downsample,
+from ipbm.geometry import (_RAY_DIRECTIONS, Domain, PointSet, StlError,
+                           TriangleMesh, _count_crossings, classify_interior, farthest_point_downsample,
                            fibonacci_sphere, load_point_cloud, load_stl,
                            make_box_mesh, make_icosphere, make_torus_mesh,
                            sample_surface, save_point_cloud, save_stl,
@@ -194,6 +196,92 @@ class TestFarthestPoint:
             farthest_point_downsample(cloud, 0, seed=0)
         with pytest.raises(ValueError):
             farthest_point_downsample(cloud, 6, seed=0)
+
+
+def _fps_loop(pts, nb, start):
+    """Reference farthest-point selection: one row-wise update per point."""
+    chosen = np.empty(nb, dtype=np.int64)
+    chosen[0] = start
+    dist2 = np.sum((pts - pts[start]) ** 2, axis=1)
+    for i in range(1, nb):
+        nxt = int(np.argmax(dist2))
+        chosen[i] = nxt
+        dist2 = np.minimum(dist2, np.sum((pts - pts[nxt]) ** 2, axis=1))
+    return pts[chosen]
+
+
+class TestFarthestPointAgainstLoop:
+    def _check(self, pts, nb, seed):
+        start = int(np.random.default_rng(seed).integers(len(pts)))
+        got = farthest_point_downsample(PointSet(pts), nb, seed=seed).points
+        assert np.array_equal(got, _fps_loop(pts, nb, start))
+
+    def test_random_cloud(self):
+        pts = np.random.default_rng(7).normal(size=(3000, 3))
+        self._check(pts, 300, seed=3)
+
+    def test_permuted_coordinates(self):
+        # the 6 coordinate permutations of each point tie in exact
+        # arithmetic; rounding breaks the ties by the order of summation
+        base = np.random.default_rng(9).random((40, 3))
+        pts = np.vstack([base[:, list(p)]
+                         for p in itertools.permutations(range(3))])
+        self._check(pts, 200, seed=0)
+
+    def test_duplicated_points_tie_break(self):
+        # a coarse lattice, every point three times: argmax ties everywhere
+        g = np.arange(4.0)
+        X, Y, Z = np.meshgrid(g, g, g, indexing="ij")
+        lattice = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+        pts = np.repeat(lattice, 3, axis=0)
+        self._check(pts, 64, seed=1)
+        self._check(pts, len(pts), seed=2)      # nb == len(cloud)
+
+
+def _all_pairs_crossings(mesh, pts, direction, eps):
+    """Reference crossing count: the exact pair test on every
+    (point, triangle) pair, with no bucketing."""
+    v = mesh.vertices
+    tris = mesh.triangles
+    crossings = np.zeros(len(pts), dtype=np.int64)
+    for lo in range(0, len(pts), 200):
+        block = np.arange(lo, min(lo + 200, len(pts)))
+        cand_n = np.repeat(block, len(tris))
+        cand_b = np.tile(np.arange(len(tris)), len(block))
+        v0 = v[tris[cand_b, 0]]
+        e1 = v[tris[cand_b, 1]] - v0
+        e2 = v[tris[cand_b, 2]] - v0
+        h = np.cross(direction[None, :], e2)
+        det = np.einsum("ki,ki->k", e1, h)
+        ok = np.abs(det) > eps
+        inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+        s = pts[cand_n] - v0
+        u = np.einsum("ki,ki->k", s, h) * inv
+        q = np.cross(s, e1)
+        w = (q @ direction) * inv
+        dist = np.einsum("ki,ki->k", q, e2) * inv
+        hit = ok & (u >= 0.0) & (w >= 0.0) & (u + w <= 1.0) & (dist > eps)
+        np.add.at(crossings, cand_n[hit], 1)
+    return crossings
+
+
+class TestCountCrossings:
+    @pytest.mark.parametrize("mesh", [
+        make_torus_mesh((0.5, 0.5, 0.5), 0.3, 0.12, n_major=24, n_minor=12),
+        make_icosphere((0.5, 0.5, 0.5), 0.4, subdivisions=2),
+    ], ids=["torus", "icosphere"])
+    def test_matches_all_pairs(self, mesh):
+        g = np.linspace(0.0, 1.0, 11)
+        X, Y, Z = np.meshgrid(g, g, g, indexing="ij")
+        grid = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+        v, t = mesh.vertices, mesh.triangles
+        midpoints = 0.5 * (v[t] + v[np.roll(t, 1, axis=1)]).reshape(-1, 3)
+        pts = np.vstack([grid, v, midpoints])
+        for direction in _RAY_DIRECTIONS:
+            got = _count_crossings(mesh, pts, direction, 1e-13)
+            want = _all_pairs_crossings(mesh, pts, direction, 1e-13)
+            assert np.array_equal(got, want)
+            assert got[:len(grid)].any()
 
 
 class TestClassifyInterior:

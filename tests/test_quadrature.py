@@ -160,6 +160,24 @@ class TestTetRule:
         rule = tet_rule(REF_TET, mq)
         assert _moment_sweep(rule, mq) < 1e-12
 
+    def test_conical_fallback_verified_once(self, monkeypatch):
+        calls = []
+        verify = quadrature._verify_simplex_rule
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_verify_simplex_rule", counting)
+        quadrature._conical_rule.cache_clear()
+        first = tet_rule(REF_TET, 16)
+        second = tet_rule(REF_TET, 16)
+        assert calls == [16]
+        assert np.array_equal(first.nodes, second.nodes)
+        bary, weights = quadrature._reference_tet_rule(16)
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 0.0
+
     @pytest.mark.parametrize("mq", [3, 5, 22, 0])
     def test_degree_validation(self, mq):
         with pytest.raises(ValueError):

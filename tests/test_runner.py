@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from ipbm import runner
 from ipbm.cli import main as cli_main
-from ipbm.geometry import make_box_mesh, save_stl
+from ipbm.geometry import make_box_mesh, make_icosphere, save_stl
 from ipbm.runner import (ConfigError, ExperimentConfig, parse_config,
                          patch_test, report_csv, report_text, run_experiment,
                          write_report)
@@ -62,6 +63,16 @@ class TestConfigParsing:
     def test_bad_override(self):
         with pytest.raises(ConfigError, match="key=value"):
             parse_config(overrides=["novalue"])
+
+    @pytest.mark.parametrize("override,field", [
+        ("nb=0", "nb"), ("nb=-5", "nb"), ("eval_grid=1", "eval_grid")])
+    def test_point_counts_validated(self, tmp_path, capsys, override, field):
+        with pytest.raises(ConfigError, match=field):
+            parse_config(overrides=[override])
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(FAST_CFG)
+        assert cli_main(["run", str(cfg), override]) == 2
+        assert field in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +144,71 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(cfg)
 
+    def test_empty_interior_fails_fast(self):
+        # the 2-point grid is the 8 box corners, all outside the ball
+        cfg = ExperimentConfig(degrees=(2, 2, 2), m_list=(3,), nb=200,
+                               eval_grid=2)
+        with pytest.raises(ConfigError, match="eval_grid=2.*sphere"):
+            run_experiment(cfg)
+
+    def test_paper_convergence_order(self):
+        # IPBF with degree-4 tensor splines converges at order d + 1 = 5
+        cfg = ExperimentConfig(solution="sin5", operator="laplace",
+                               degrees=(4, 4, 4), m_list=(5, 6, 7), nb=1000,
+                               eval_grid=20)
+        report = run_experiment(cfg)
+        assert min(report.max_rates) >= 4.5
+        assert min(report.rms_rates) >= 4.5
+
+
+SMALL = dict(degrees=(2, 2, 2), m_list=(3,), nb=200, eval_grid=10)
+
+
+class TestGeometryMemo:
+    def test_shared_across_solutions_and_operators(self, monkeypatch):
+        calls = []
+        classify = runner.classify_interior
+
+        def counting(*args):
+            calls.append(args)
+            return classify(*args)
+
+        monkeypatch.setattr(runner, "classify_interior", counting)
+        runner._geometry.cache_clear()
+        run_experiment(ExperimentConfig(solution="sin5", operator="laplace",
+                                        seed=5, **SMALL))
+        run_experiment(ExperimentConfig(solution="abs3", operator="var-diag",
+                                        seed=5, **SMALL))
+        assert len(calls) == 1
+
+    def test_rewritten_stl_is_reread(self, tmp_path):
+        path = tmp_path / "brick.stl"
+        cfg = ExperimentConfig(domain=f"stl:{path}", solution="mono123",
+                               operator="laplace", degrees=(1, 2, 3),
+                               m_list=(4,), nb=300, eval_grid=12)
+        save_stl(make_box_mesh((0.2, 0.3, 0.1), (0.8, 0.7, 0.5)), path)
+        first = run_experiment(cfg).n_interior_eval
+        # a box fills its own bounding box, a ball about half of it
+        save_stl(make_icosphere((0.5, 0.5, 0.5), 0.4, subdivisions=2), path)
+        second = run_experiment(cfg).n_interior_eval
+        runner._geometry.cache_clear()
+        assert second == run_experiment(cfg).n_interior_eval
+        assert second != first
+
+    def test_cached_arrays_read_only(self):
+        domain, B, interior, surf = runner._geometry("sphere", None, 200,
+                                                     10, 0)
+        for array in (domain.bbox, domain.sphere_center, B.points,
+                      interior, surf):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_failure_not_cached(self):
+        runner._geometry.cache_clear()
+        with pytest.raises(ConfigError):
+            runner._geometry("sphere", None, 200, 2, 0)
+        assert runner._geometry.cache_info().currsize == 0
+
 
 class TestReports:
     def test_text_report_shape(self, fast_report):
@@ -196,6 +272,15 @@ class TestCli:
 
     def test_missing_config_exit_code(self):
         assert cli_main(["run", "/no/such/file.cfg"]) == 2
+
+    def test_malformed_stl_exit_code(self, tmp_path, capsys):
+        stl = tmp_path / "zeros.stl"
+        stl.write_bytes(bytes(100))
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(FAST_CFG.replace("domain = sphere", f"domain = stl:{stl}"))
+        assert cli_main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "mismatch" in err and len(err.strip().splitlines()) == 1
 
     def test_patch_test_verb_tensor_product(self, capsys):
         code = cli_main(["patch-test", "--space", "tensor-product"])
