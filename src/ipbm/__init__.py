@@ -8,8 +8,8 @@ points.  Two spline families are provided: tensor-product B-splines and
 continuous Bernstein-Bezier splines on type-5 tetrahedral partitions.
 """
 
-from .assembly import (LinearSystem, SolverConfig, apply_operator,
-                       assemble_ipbc, assemble_ipbf, collocation_points_tet,
+from .assembly import (LinearSystem, apply_operator, assemble_ipbc,
+                       assemble_ipbf, collocation_points_tet,
                        collocation_points_tp, dump_system, load_system_dump)
 from .geometry import (Domain, PointSet, TriangleMesh, classify_interior,
                        farthest_point_downsample, fibonacci_sphere, load_stl,

@@ -31,50 +31,6 @@ SECOND_DERIV_INDICES = ((2, 0, 0), (0, 2, 0), (0, 0, 2),
 
 
 @dataclass
-class SolverConfig:
-    """Method, space and penalty parameters for one solve."""
-
-    method: str = "IPBF"
-    space_kind: str = "tensor-product"
-    degrees: tuple = (4, 4, 4)
-    m: int = 5
-    lam: float = 0.01
-    lam_s: float = 0.01
-    nb: int = 1000
-    m_c: int = 3
-    d_c: int = 3
-    box_points: tuple | None = None     # quadrature points per dimension
-    tet_degree: int | None = None       # tet quadrature exactness degree
-    seed: int = 42
-
-    def __post_init__(self):
-        if self.method not in ("IPBF", "IPBC"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.space_kind not in ("tensor-product", "type5"):
-            raise ValueError(f"unknown space kind {self.space_kind!r}")
-        if np.isscalar(self.degrees):
-            self.degrees = (int(self.degrees),) * 3
-        else:
-            self.degrees = tuple(int(d) for d in self.degrees)
-        if self.space_kind == "type5" and len(set(self.degrees)) != 1:
-            raise ValueError("tetrahedral splines use a single degree")
-        if self.lam <= 0:
-            raise ValueError("boundary weight lam must be positive")
-        if self.space_kind == "type5" and self.lam_s <= 0:
-            raise ValueError("smoothness weight lam_s must be positive")
-
-    @property
-    def degree(self):
-        return self.degrees[0]
-
-    def quadrature_box_points(self):
-        return self.box_points or default_box_points(self.degrees)
-
-    def quadrature_tet_degree(self):
-        return self.tet_degree or default_tet_degree(self.degree)
-
-
-@dataclass
 class LinearSystem:
     """Stacked sparse system H c = r with labeled row blocks."""
 
@@ -165,8 +121,8 @@ def _outer3_flat(bx, by, bz):
     return prod.reshape(nq, -1)
 
 
-def _galerkin_block_tp(space, bvp, config):
-    nq = config.quadrature_box_points()
+def _galerkin_block_tp(space, bvp):
+    nq = default_box_points(space.degrees)
     ax = _axis_cell_tables(space.kx, nq[0])
     ay = _axis_cell_tables(space.ky, nq[1])
     az = _axis_cell_tables(space.kz, nq[2])
@@ -216,10 +172,10 @@ def _tet_reference_tables(d, mq):
     return bary, wref, V, D2
 
 
-def _galerkin_block_tet(space, bvp, config):
+def _galerkin_block_tet(space, bvp):
     part = space.partition
     d = space.degree
-    bary, wref, V, D2 = _tet_reference_tables(d, config.quadrature_tet_degree())
+    bary, wref, V, D2 = _tet_reference_tables(d, default_tet_degree(d))
     nloc = space.n_local
     nt = part.n_tets
     rows = np.empty(nt * nloc * nloc, dtype=np.int64)
@@ -257,14 +213,8 @@ def _design(space, pts, deriv=(0, 0, 0)):
     return s0d_design_matrix(space, pts, deriv)
 
 
-def _space_bbox(space):
-    if isinstance(space, TensorProductSpace):
-        return space.bbox
-    return space.partition.bbox
-
-
 def _check_in_box(space, pts, what):
-    bbox = _space_bbox(space)
+    bbox = space.bbox
     if np.any(pts < bbox[0] - 1e-12) or np.any(pts > bbox[1] + 1e-12):
         raise ValueError(f"{what} outside the immersing box")
 
@@ -319,27 +269,34 @@ def _stack(parts, labels):
                         np.concatenate(rhss), blocks)
 
 
-def assemble_ipbf(space, bvp, B, config):
-    """Galerkin-flavored system: integral rows + boundary (+ smoothness)."""
+def assemble_ipbf(space, bvp, B, lam, lam_s):
+    """Galerkin-flavored system: integral rows + boundary (+ smoothness).
+
+    ``lam`` weights the boundary rows; ``lam_s`` weights the smoothness
+    rows, which only tetrahedral spaces have.
+    """
     if isinstance(space, TensorProductSpace):
-        parts = [_galerkin_block_tp(space, bvp, config)]
+        parts = [_galerkin_block_tp(space, bvp)]
     else:
-        parts = [_galerkin_block_tet(space, bvp, config)]
+        parts = [_galerkin_block_tet(space, bvp)]
     labels = ["galerkin", "boundary"]
-    parts.append(_boundary_block(space, bvp, B, config.lam))
+    parts.append(_boundary_block(space, bvp, B, lam))
     if isinstance(space, S0dSpace):
-        parts.append(_smoothness_block(space, config.lam_s))
+        parts.append(_smoothness_block(space, lam_s))
         labels.append("smoothness")
     return _stack(parts, labels)
 
 
-def assemble_ipbc(space, bvp, gamma, B, config):
-    """Collocation system: pointwise PDE rows + boundary (+ smoothness)."""
+def assemble_ipbc(space, bvp, gamma, B, lam, lam_s):
+    """Collocation system: pointwise PDE rows + boundary (+ smoothness).
+
+    The weights are those of ``assemble_ipbf``.
+    """
     parts = [_collocation_block(space, bvp, gamma)]
     labels = ["collocation", "boundary"]
-    parts.append(_boundary_block(space, bvp, B, config.lam))
+    parts.append(_boundary_block(space, bvp, B, lam))
     if isinstance(space, S0dSpace):
-        parts.append(_smoothness_block(space, config.lam_s))
+        parts.append(_smoothness_block(space, lam_s))
         labels.append("smoothness")
     return _stack(parts, labels)
 

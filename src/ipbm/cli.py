@@ -8,8 +8,12 @@ Verbs:
     sweep <config> [<config>...]   batch of experiments; configs may
                                    come before or after --out
 
-Exit status is 0 on success, 1 on a failed patch test, 2 on a
-configuration or input error.
+Exit status is 0 on success and 1 on a failed patch test.  It is 2, with
+a one-line message on stderr, on a configuration error (``ConfigError``:
+unknown key, malformed or out-of-range value, unknown domain), on a
+malformed STL file (``StlError``), and on a file that cannot be read or
+written (``OSError``: missing file, a directory, no permission).
+Command-line usage errors also exit 2, from argparse.
 """
 
 import argparse
@@ -104,7 +108,7 @@ def main(argv=None):
         if args.command == "patch-test":
             return _cmd_patch_test(args)
         return _cmd_sweep(args)
-    except (ConfigError, StlError, FileNotFoundError) as exc:
+    except (ConfigError, StlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

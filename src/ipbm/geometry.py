@@ -120,9 +120,6 @@ class Domain:
     def is_analytic(self):
         return self.mesh is None
 
-    def bbox_edges(self):
-        return self.bbox[1] - self.bbox[0]
-
 
 def unit_sphere_domain():
     """The built-in analytic domain: radius-1/2 sphere in the unit box."""

@@ -6,6 +6,14 @@ coefficient count, Gram condition, max and RMS errors); consecutive rows
 yield observed convergence rates.  Reports are written as an aligned
 text table, as CSV, and with the resolved configuration echoed.
 
+A run is described by one ``ExperimentConfig``, which checks every field
+when it is built and raises ``ConfigError`` naming the config-file key;
+only the domain (``sphere`` or ``stl:<path>`` of an existing file) is
+checked later, when the run resolves it.  A config file is flat
+``key = value`` lines with ``#`` comments, and ``key=value`` overrides
+follow the same format.  One table, ``_KEYS``, gives each key's field,
+parser and formatter; parsing, the defaults and the echo all read it.
+
 The geometry of a run -- the normalized domain, the boundary set B and
 the interior and boundary evaluation points -- depends only on the
 domain, ``nb``, ``eval_grid`` and ``seed``, so it is memoized on those
@@ -21,17 +29,17 @@ import functools
 import hashlib
 import io
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .assembly import (SolverConfig, assemble_ipbc, assemble_ipbf,
-                       collocation_points_tet, collocation_points_tp)
+from .assembly import (assemble_ipbc, assemble_ipbf, collocation_points_tet,
+                       collocation_points_tp)
 from .geometry import (classify_interior, farthest_point_downsample,
                        fibonacci_sphere, load_stl, mesh_domain,
                        sample_surface, unit_sphere_domain)
-from .problems import make_preset
+from .problems import OPERATORS, SOLUTIONS, make_preset
 from .solver import convergence_rate, evaluate_errors, solve_least_squares
 from .tet_spline import build_s0d_space, build_type5_partition
 from .tp_spline import build_tp_space
@@ -43,8 +51,45 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _ints(text):
+    return tuple(int(v) for v in text.split(","))
+
+
+def _join(values):
+    return ",".join(map(str, values))
+
+
+def _format_degrees(degrees):
+    return str(degrees[0]) if len(set(degrees)) == 1 else _join(degrees)
+
+
+# The config-file format: (file key, ExperimentConfig field, parse, format),
+# in file order.
+_KEYS = (
+    ("domain", "domain", str, str),
+    ("solution", "solution", str, str),
+    ("operator", "operator", str, str),
+    ("method", "method", str.upper, str),
+    ("space", "space", str, str),
+    ("d", "degrees", _ints, _format_degrees),
+    ("m_list", "m_list", _ints, _join),
+    ("nb", "nb", int, str),
+    ("lambda", "lam", float, str),
+    ("lambda_s", "lam_s", float, str),
+    ("m_c", "m_c", int, str),
+    ("d_c", "d_c", int, str),
+    ("seed", "seed", int, str),
+    ("eval_grid", "eval_grid", int, str),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked when built (see the module docstring).
+
+    A scalar or one-value ``degrees`` is the same degree on all axes.
+    """
+
     domain: str = "sphere"
     solution: str = "sin5"
     operator: str = "laplace"
@@ -60,21 +105,45 @@ class ExperimentConfig:
     seed: int = 42
     eval_grid: int = 40
 
+    def __post_init__(self):
+        degrees = tuple(int(v) for v in np.atleast_1d(self.degrees))
+        if len(degrees) == 1:
+            degrees *= 3
+        object.__setattr__(self, "degrees", degrees)
+        for key, value, choices in (
+                ("method", self.method, ("IPBF", "IPBC")),
+                ("space", self.space, ("tensor-product", "type5")),
+                ("solution", self.solution, SOLUTIONS),
+                ("operator", self.operator, OPERATORS)):
+            if value not in choices:
+                raise ConfigError(f"{key} must be one of "
+                                  f"{', '.join(sorted(choices))}; "
+                                  f"got {value!r}")
+        if len(degrees) != 3:
+            raise ConfigError(f"d needs one or three integers, "
+                              f"got {_join(degrees)}")
+        if self.space == "type5" and len(set(degrees)) != 1:
+            raise ConfigError(f"d must be a single degree for type5, "
+                              f"got {_join(degrees)}")
+        if not self.m_list or any(m < 2 for m in self.m_list):
+            raise ConfigError("m_list needs values >= 2")
+        if list(self.m_list) != sorted(set(self.m_list)):
+            raise ConfigError("m_list must be strictly increasing")
+        for key, value, low in (("nb", self.nb, 1), ("m_c", self.m_c, 2),
+                                ("d_c", self.d_c, 2),
+                                ("eval_grid", self.eval_grid, 2)):
+            if value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
+        if not self.lam > 0:
+            raise ConfigError(f"lambda must be > 0, got {self.lam}")
+        if self.space == "type5" and not self.lam_s > 0:
+            raise ConfigError(f"lambda_s must be > 0 for type5, "
+                              f"got {self.lam_s}")
+
     def echo_pairs(self):
         """(config-file key, value string) for every field, in file order."""
-        d = self.degrees
-        deg = str(d[0]) if len(set(d)) == 1 else ",".join(map(str, d))
-        pairs = [
-            ("domain", self.domain), ("solution", self.solution),
-            ("operator", self.operator), ("method", self.method),
-            ("space", self.space), ("d", deg),
-            ("m_list", ",".join(map(str, self.m_list))),
-            ("nb", self.nb), ("lambda", self.lam),
-            ("lambda_s", self.lam_s), ("m_c", self.m_c),
-            ("d_c", self.d_c), ("seed", self.seed),
-            ("eval_grid", self.eval_grid),
-        ]
-        return [(k, str(v)) for k, v in pairs]
+        return [(key, fmt(getattr(self, name)))
+                for key, name, _, fmt in _KEYS]
 
     def echo_lines(self):
         return [f"{k} = {v}" for k, v in self.echo_pairs()]
@@ -111,45 +180,14 @@ def parse_config(path=None, overrides=()):
 
 
 def _build_config(raw):
-    try:
-        degrees = tuple(int(v) for v in str(raw["d"]).split(","))
-        if len(degrees) == 1:
-            degrees = degrees * 3
-        if len(degrees) != 3:
-            raise ValueError("d needs one or three integers")
-        m_list = tuple(int(v) for v in str(raw["m_list"]).split(","))
-        cfg = ExperimentConfig(
-            domain=str(raw["domain"]),
-            solution=str(raw["solution"]),
-            operator=str(raw["operator"]),
-            method=str(raw["method"]).upper(),
-            space=str(raw["space"]),
-            degrees=degrees,
-            m_list=m_list,
-            nb=int(raw["nb"]),
-            lam=float(raw["lambda"]),
-            lam_s=float(raw["lambda_s"]),
-            m_c=int(raw["m_c"]),
-            d_c=int(raw["d_c"]),
-            seed=int(raw["seed"]),
-            eval_grid=int(raw["eval_grid"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if cfg.method not in ("IPBF", "IPBC"):
-        raise ConfigError(f"method must be IPBF or IPBC, got {cfg.method!r}")
-    if cfg.space not in ("tensor-product", "type5"):
-        raise ConfigError(f"space must be tensor-product or type5, "
-                          f"got {cfg.space!r}")
-    if not cfg.m_list or any(m < 2 for m in cfg.m_list):
-        raise ConfigError("m_list needs values >= 2")
-    if list(cfg.m_list) != sorted(set(cfg.m_list)):
-        raise ConfigError("m_list must be strictly increasing")
-    if cfg.nb < 1:
-        raise ConfigError(f"nb must be >= 1, got {cfg.nb}")
-    if cfg.eval_grid < 2:
-        raise ConfigError(f"eval_grid must be >= 2, got {cfg.eval_grid}")
-    return cfg
+    """ExperimentConfig from the key-to-string map of a config file."""
+    kwargs = {}
+    for key, name, parse, _ in _KEYS:
+        try:
+            kwargs[name] = parse(raw[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return ExperimentConfig(**kwargs)
 
 
 @dataclass
@@ -254,10 +292,6 @@ def run_experiment(config, progress=None):
     report = ExperimentReport(config, n_interior_eval=len(interior),
                               n_boundary_eval=len(surf))
     for m in config.m_list:
-        solver_cfg = SolverConfig(
-            method=config.method, space_kind=config.space,
-            degrees=config.degrees, m=m, lam=config.lam, lam_s=config.lam_s,
-            nb=config.nb, m_c=config.m_c, d_c=config.d_c, seed=config.seed)
         t0 = time.perf_counter()
         if config.space == "tensor-product":
             space = build_tp_space(domain.bbox, m, config.degrees)
@@ -265,13 +299,15 @@ def run_experiment(config, progress=None):
             partition = build_type5_partition(domain.bbox, m)
             space = build_s0d_space(partition, config.degrees[0])
         if config.method == "IPBF":
-            system = assemble_ipbf(space, bvp, B, solver_cfg)
+            system = assemble_ipbf(space, bvp, B, config.lam,
+                                   config.lam_s)
         else:
             if config.space == "tensor-product":
                 gamma = collocation_points_tp(space, config.m_c)
             else:
                 gamma = collocation_points_tet(partition, config.d_c)
-            system = assemble_ipbc(space, bvp, gamma, B, solver_cfg)
+            system = assemble_ipbc(space, bvp, gamma, B, config.lam,
+                                   config.lam_s)
         t1 = time.perf_counter()
         result = solve_least_squares(system)
         t2 = time.perf_counter()
@@ -301,10 +337,6 @@ def patch_test(space_kind, degrees, operator_id, solution_id=None,
     the recovered spline matches the truth to emax <= 1e-9 on the
     evaluation set.
     """
-    if np.isscalar(degrees):
-        degrees = (int(degrees),) * 3
-    else:
-        degrees = tuple(int(v) for v in degrees)
     if solution_id is None:
         solution_id = "mono123" if space_kind == "tensor-product" \
             else "quintic"

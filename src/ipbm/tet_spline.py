@@ -306,6 +306,10 @@ class S0dSpace:
     def mesh_size(self):
         return self.partition.mesh_size
 
+    @property
+    def bbox(self):
+        return self.partition.bbox
+
 
 def build_s0d_space(partition, d):
     """Number the distinct domain points over all tetrahedra."""

@@ -186,10 +186,6 @@ class TensorProductSpace:
         return np.array([[self.kx.a, self.ky.a, self.kz.a],
                          [self.kx.b, self.ky.b, self.kz.b]])
 
-    def flat_index(self, i, j, k):
-        nx, ny, nz = self.dims
-        return (i * ny + j) * nz + k
-
 
 def build_tp_space(bbox, m, degrees):
     """Tensor-product space over bbox with m grid lines per direction."""

@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ipbm.assembly import (LinearSystem, SolverConfig, apply_operator,
-                           assemble_ipbc, assemble_ipbf,
-                           collocation_points_tet, collocation_points_tp,
-                           dump_system, load_system_dump)
+from ipbm.assembly import (LinearSystem, apply_operator, assemble_ipbc,
+                           assemble_ipbf, collocation_points_tet,
+                           collocation_points_tp, dump_system,
+                           load_system_dump)
 from ipbm.geometry import (PointSet, farthest_point_downsample,
                            fibonacci_sphere, unit_sphere_domain)
 from ipbm.problems import BVPDefinition, make_preset
 from ipbm.quadrature import box_rule
+from ipbm.runner import ExperimentConfig
 from ipbm.solver import solve_least_squares
 from ipbm.tet_spline import build_s0d_space, build_type5_partition
 from ipbm.tp_spline import build_tp_space, interpolate_tp
 
 UNIT_BOX = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+LAM = LAM_S = 0.01      # the default boundary and smoothness weights
 
 
 @pytest.fixture(scope="module")
@@ -104,8 +106,8 @@ class TestIPBF(object):
                                  dom.sphere_radius, seed=42)
         B = farthest_point_downsample(cloud, 1000, seed=42, start=0)
         space = build_tp_space(UNIT_BOX, 7, (5, 5, 5))
-        cfg = SolverConfig(method="IPBF", degrees=(5, 5, 5), m=7)
-        system = assemble_ipbf(space, make_preset("sin5", "laplace"), B, cfg)
+        system = assemble_ipbf(space, make_preset("sin5", "laplace"), B,
+                               LAM, LAM_S)
         assert system.shape == (1331 + 1000, 1331)
         assert system.blocks["galerkin"] == slice(0, 1331)
         assert system.blocks["boundary"] == slice(1331, 2331)
@@ -113,10 +115,8 @@ class TestIPBF(object):
     def test_boundary_weight_linearity(self, sphere_boundary):
         space = build_tp_space(UNIT_BOX, 4, (2, 2, 2))
         bvp = make_preset("mono123", "laplace")
-        cfg1 = SolverConfig(degrees=(2, 2, 2), m=4, lam=0.01)
-        cfg2 = SolverConfig(degrees=(2, 2, 2), m=4, lam=0.02)
-        s1 = assemble_ipbf(space, bvp, sphere_boundary, cfg1)
-        s2 = assemble_ipbf(space, bvp, sphere_boundary, cfg2)
+        s1 = assemble_ipbf(space, bvp, sphere_boundary, 0.01, LAM_S)
+        s2 = assemble_ipbf(space, bvp, sphere_boundary, 0.02, LAM_S)
         b1 = s1.blocks["boundary"]
         diff = (2.0 * s1.H[b1] - s2.H[b1]).toarray()
         assert np.abs(diff).max() < 1e-15
@@ -124,9 +124,8 @@ class TestIPBF(object):
 
     def test_galerkin_row_sparsity(self, sphere_boundary):
         space = build_tp_space(UNIT_BOX, 5, (2, 3, 2))
-        cfg = SolverConfig(degrees=(2, 3, 2), m=5)
         system = assemble_ipbf(space, make_preset("sin5", "laplace"),
-                               sphere_boundary, cfg)
+                               sphere_boundary, LAM, LAM_S)
         gal = system.H[system.blocks["galerkin"]]
         assert np.diff(gal.indptr).max() <= 5 * 7 * 5
 
@@ -136,8 +135,7 @@ class TestIPBF(object):
         # per-cell accumulation
         space = build_tp_space(UNIT_BOX, 3, (2, 2, 2))
         bvp = make_preset("mono123", "laplace")
-        cfg = SolverConfig(degrees=(2, 2, 2), m=3)
-        system = assemble_ipbf(space, bvp, sphere_boundary, cfg)
+        system = assemble_ipbf(space, bvp, sphere_boundary, LAM, LAM_S)
         gal = system.H[system.blocks["galerkin"]].toarray()
         from ipbm.tp_spline import tp_design_matrix
         rng = np.random.default_rng(0)
@@ -159,8 +157,7 @@ class TestIPBF(object):
     def test_exact_coefficients_have_tiny_residual(self, sphere_boundary):
         space = build_tp_space(UNIT_BOX, 5, (1, 2, 3))
         bvp = make_preset("mono123", "laplace")
-        cfg = SolverConfig(degrees=(1, 2, 3), m=5)
-        system = assemble_ipbf(space, bvp, sphere_boundary, cfg)
+        system = assemble_ipbf(space, bvp, sphere_boundary, LAM, LAM_S)
         c_true = interpolate_tp(space, bvp.u)
         resid = system.H @ c_true - system.rhs
         assert np.abs(resid).max() < 1e-10
@@ -168,8 +165,7 @@ class TestIPBF(object):
     def test_patch_solution_recovers_truth(self, sphere_boundary):
         space = build_tp_space(UNIT_BOX, 5, (1, 2, 3))
         bvp = make_preset("mono123", "laplace")
-        cfg = SolverConfig(degrees=(1, 2, 3), m=5)
-        system = assemble_ipbf(space, bvp, sphere_boundary, cfg)
+        system = assemble_ipbf(space, bvp, sphere_boundary, LAM, LAM_S)
         res = solve_least_squares(system)
         pts = np.random.default_rng(1).random((2000, 3))
         from ipbm.solver import evaluate_errors
@@ -179,15 +175,13 @@ class TestIPBF(object):
     def test_boundary_point_outside_box_rejected(self):
         space = build_tp_space(UNIT_BOX, 3, (2, 2, 2))
         bvp = make_preset("sin5", "laplace")
-        cfg = SolverConfig(degrees=(2, 2, 2), m=3)
         bad = PointSet([[0.5, 0.5, 1.5]], role="boundary-B")
         with pytest.raises(ValueError, match="outside"):
-            assemble_ipbf(space, bvp, bad, cfg)
+            assemble_ipbf(space, bvp, bad, LAM, LAM_S)
 
     def test_zero_solution_gives_zero_coefficients(self, sphere_boundary):
         space = build_tp_space(UNIT_BOX, 4, (2, 2, 2))
-        cfg = SolverConfig(degrees=(2, 2, 2), m=4)
-        system = assemble_ipbf(space, zero_bvp(), sphere_boundary, cfg)
+        system = assemble_ipbf(space, zero_bvp(), sphere_boundary, LAM, LAM_S)
         assert np.abs(system.rhs).max() == 0.0
         res = solve_least_squares(system)
         assert np.abs(res.coefficients).max() < 1e-12
@@ -195,8 +189,7 @@ class TestIPBF(object):
     def test_joint_block_scaling_keeps_minimizer(self, sphere_boundary):
         space = build_tp_space(UNIT_BOX, 4, (2, 2, 2))
         bvp = make_preset("sin5", "laplace")
-        cfg = SolverConfig(degrees=(2, 2, 2), m=4)
-        system = assemble_ipbf(space, bvp, sphere_boundary, cfg)
+        system = assemble_ipbf(space, bvp, sphere_boundary, LAM, LAM_S)
         res1 = solve_least_squares(system)
         scaled = LinearSystem(system.H * 3.7, system.rhs * 3.7,
                               system.blocks)
@@ -211,9 +204,8 @@ class TestIPBC:
         space = build_tp_space(UNIT_BOX, 6, (5, 5, 5))
         gamma = collocation_points_tp(space, 3)
         assert len(gamma) == (2 * 5 + 1) ** 3 == 1331
-        cfg = SolverConfig(method="IPBC", degrees=(5, 5, 5), m=6)
         system = assemble_ipbc(space, make_preset("sin5", "laplace"),
-                               gamma, sphere_boundary, cfg)
+                               gamma, sphere_boundary, LAM, LAM_S)
         assert system.shape == (1331 + 500, 1000)
         assert system.blocks["collocation"] == slice(0, 1331)
 
@@ -221,9 +213,8 @@ class TestIPBC:
         # under-collocated: the Gram matrix loses rank numerically
         space = build_tp_space(UNIT_BOX, 6, (5, 5, 5))
         gamma = collocation_points_tp(space, 2)
-        cfg = SolverConfig(method="IPBC", degrees=(5, 5, 5), m=6)
         system = assemble_ipbc(space, make_preset("sin5", "laplace"),
-                               gamma, sphere_boundary, cfg)
+                               gamma, sphere_boundary, LAM, LAM_S)
         H = system.H.toarray()
         G = H.T @ H
         assert np.linalg.matrix_rank(G) < space.dim
@@ -232,18 +223,16 @@ class TestIPBC:
         part = build_type5_partition(UNIT_BOX, 3)
         space = build_s0d_space(part, 5)
         gamma = collocation_points_tet(part, 2)
-        cfg = SolverConfig(method="IPBC", space_kind="type5", degrees=5, m=3)
         system = assemble_ipbc(space, make_preset("sin5", "laplace"),
-                               gamma, sphere_boundary, cfg)
+                               gamma, sphere_boundary, LAM, LAM_S)
         res = solve_least_squares(system)
         assert res.rank_deficient
 
     def test_zero_solution(self, sphere_boundary):
         space = build_tp_space(UNIT_BOX, 4, (3, 3, 3))
         gamma = collocation_points_tp(space, 3)
-        cfg = SolverConfig(method="IPBC", degrees=(3, 3, 3), m=4)
         system = assemble_ipbc(space, zero_bvp(), gamma, sphere_boundary,
-                               cfg)
+                               LAM, LAM_S)
         assert np.abs(system.rhs).max() == 0.0
         res = solve_least_squares(system)
         assert np.abs(res.coefficients).max() < 1e-12
@@ -252,9 +241,8 @@ class TestIPBC:
         part = build_type5_partition(UNIT_BOX, 3)
         space = build_s0d_space(part, 3)
         gamma = collocation_points_tet(part, 3)
-        cfg = SolverConfig(method="IPBC", space_kind="type5", degrees=3, m=3)
         system = assemble_ipbc(space, make_preset("sin5", "laplace"),
-                               gamma, sphere_boundary, cfg)
+                               gamma, sphere_boundary, LAM, LAM_S)
         assert "smoothness" in system.blocks
         sl = system.blocks["smoothness"]
         assert np.abs(system.rhs[sl]).max() == 0.0
@@ -263,24 +251,24 @@ class TestIPBC:
 class TestConfigValidation:
     def test_bad_method(self):
         with pytest.raises(ValueError):
-            SolverConfig(method="IPBX")
+            ExperimentConfig(method="IPBX")
 
     def test_bad_space(self):
         with pytest.raises(ValueError):
-            SolverConfig(space_kind="hex")
+            ExperimentConfig(space="hex")
 
     def test_nonuniform_tet_degrees(self):
         with pytest.raises(ValueError):
-            SolverConfig(space_kind="type5", degrees=(3, 4, 5))
+            ExperimentConfig(space="type5", degrees=(3, 4, 5))
 
     def test_nonpositive_weights(self):
         with pytest.raises(ValueError):
-            SolverConfig(lam=0.0)
+            ExperimentConfig(lam=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(space_kind="type5", degrees=4, lam_s=-1.0)
+            ExperimentConfig(space="type5", degrees=4, lam_s=-1.0)
 
     def test_defaults(self):
-        cfg = SolverConfig()
+        cfg = ExperimentConfig()
         assert (cfg.nb, cfg.lam, cfg.lam_s, cfg.m_c, cfg.d_c) == \
             (1000, 0.01, 0.01, 3, 3)
 
@@ -289,8 +277,7 @@ class TestDump:
     def test_roundtrip(self, tmp_path, sphere_boundary):
         space = build_tp_space(UNIT_BOX, 3, (2, 2, 2))
         bvp = make_preset("mono123", "laplace")
-        cfg = SolverConfig(degrees=(2, 2, 2), m=3)
-        system = assemble_ipbf(space, bvp, sphere_boundary, cfg)
+        system = assemble_ipbf(space, bvp, sphere_boundary, LAM, LAM_S)
         path = tmp_path / "system.txt"
         dump_system(system, path)
         back = load_system_dump(path)

@@ -69,6 +69,8 @@ class TestConfigParsing:
     def test_point_counts_validated(self, tmp_path, capsys, override, field):
         with pytest.raises(ConfigError, match=field):
             parse_config(overrides=[override])
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{field: int(override.split("=")[1])})
         cfg = tmp_path / "fast.cfg"
         cfg.write_text(FAST_CFG)
         assert cli_main(["run", str(cfg), override]) == 2
@@ -270,8 +272,32 @@ class TestCli:
         assert cli_main(["run", str(cfg)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides,key", [
+        ("lambda=0", "lambda"),
+        ("lambda_s=-1 space=type5 d=3", "lambda_s"),
+        ("space=type5 d=3,4,5", "d"),
+        ("method=IPBC m_c=1", "m_c"),
+        ("space=type5 method=IPBC d_c=1 d=3", "d_c"),
+        ("solution=nope", "solution"),
+        ("operator=nope", "operator")])
+    def test_invalid_value_exit_code(self, tmp_path, capsys, overrides, key):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(FAST_CFG)
+        assert cli_main(["run", str(cfg), *overrides.split()]) == 2
+        err = capsys.readouterr().err
+        assert key in err and len(err.strip().splitlines()) == 1
+
     def test_missing_config_exit_code(self):
         assert cli_main(["run", "/no/such/file.cfg"]) == 2
+
+    def test_directory_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(FAST_CFG.replace("domain = sphere",
+                                        f"domain = stl:{tmp_path}"))
+        assert cli_main(["run", str(cfg)]) == 2
+        assert cli_main(["run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all("directory" in line for line in err)
 
     def test_malformed_stl_exit_code(self, tmp_path, capsys):
         stl = tmp_path / "zeros.stl"
