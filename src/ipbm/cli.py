@@ -59,10 +59,21 @@ def _cmd_patch_test(args):
     return 1 if failed else 0
 
 
+def _parse_prefixed(cfg_path):
+    """parse_config, with the file named in every ConfigError."""
+    try:
+        return parse_config(cfg_path)
+    except ConfigError as exc:
+        if str(exc).startswith(f"{cfg_path}:"):
+            raise
+        raise ConfigError(f"{cfg_path}: {exc}") from exc
+
+
 def _cmd_sweep(args):
     base = Path(args.out) if args.out else Path("sweep_out")
-    for cfg_path in args.configs:
-        config = parse_config(cfg_path)
+    configs = [(cfg_path, _parse_prefixed(cfg_path))
+               for cfg_path in args.configs]
+    for cfg_path, config in configs:
         print(f"running {cfg_path}", flush=True)
         report = run_experiment(config, progress=_progress_printer)
         write_report(report, base / Path(cfg_path).stem)

@@ -2,15 +2,31 @@
 
 Each system is factored once, and that factorization gives both the
 coefficients and the reported condition number, which is always that of
-the Gram matrix G = H' H.  Desk-scale systems (up to 4000 unknowns) are
-solved on H itself by a dense SVD (LAPACK gelsd), whose singular values
-give the Gram condition exactly.  Larger ones form the normal equations
-G c = H' r and factor G once with a sparse LU; the same LU drives an
-inverse-power estimate of ||G^-1|| beside a power estimate of ||G||,
-good to roughly a factor of two.  Diagonally preconditioned CG on the
-normal equations remains only as an explicitly requested path.
+the Gram matrix G = H'H.
+
+Systems whose dense G fits in GRAM_BYTES (256 MiB, so up to
+DENSE_SOLVE_LIMIT = 5792 unknowns) form the normal equations G c = H'r
+once and factor G in place by a dense Cholesky, G = R'R.  G is a BLAS
+product of the densified H when H is at least DENSE_FILL dense and a
+sparse product otherwise.  The Gram condition is ||G|| ||G^-1||, from
+one Lanczos run (ARPACK eigsh) on G, applied as H'(Hv), and one on
+G^-1, applied through R; up to EXACT_CONDITION_LIMIT unknowns it is
+the exact (s_max / s_min)^2 of R's singular values instead.  On
+full-rank systems the normal equations keep the least-squares answer
+while cond(G) eps is well below one (Bjorck, Numerical Methods for
+Least Squares Problems, 1996, ch. 2).
+
+Only when Cholesky fails or the Gram condition reaches
+GRAM_CONDITION_MAX = 1e-2 / eps does the dense path fall back to an SVD
+of H itself (LAPACK gelsd).  It drops singular values below
+GRAM_CONDITION_MAX ** -0.5 of the largest, the same line in terms of H,
+and returns the minimum-norm solution, with rank_deficient set when any
+was dropped.  Larger systems factor the sparse G once with a sparse LU,
+which drives the same Lanczos estimate.  Diagonally preconditioned CG on
+the normal equations remains only as an explicitly requested path.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -22,11 +38,27 @@ import scipy.sparse.linalg as spla
 from .tet_spline import S0dSpace, eval_s0d_batch
 from .tp_spline import TensorProductSpace, eval_tp_batch
 
-DENSE_SOLVE_LIMIT = 4000
+# A dense G costs n^2 8 bytes; the dense path takes the systems whose G
+# fits in GRAM_BYTES.
+GRAM_BYTES = 256 * 2 ** 20
+DENSE_SOLVE_LIMIT = math.isqrt(GRAM_BYTES // 8)
 
-# Path -> SolveResult.method.  "dense-qr" is the dense orthogonal
-# factorization of H (gelsd: Householder bidiagonalization, then the
-# SVD); perfbench's tracer books dense-path time by that name.
+# Fill of H from which G is formed by BLAS on the densified H: 0.22 s
+# against 0.83 s for the sparse product at 15% fill (tensor-product
+# m=10), but 2.4 s against 0.17 s at 0.75% (type5 m=5).
+DENSE_FILL = 0.05
+
+# Up to this many unknowns the Gram condition is exact, from the
+# singular values of the Cholesky factor, at a few milliseconds.
+EXACT_CONDITION_LIMIT = 200
+
+# cond(G) eps >= 1e-2: the normal equations no longer resolve the answer.
+GRAM_CONDITION_MAX = 1e-2 / np.finfo(float).eps
+
+# Path -> SolveResult.method.  The dense path is a Cholesky of G (with
+# the gelsd fallback), yet keeps the label "dense-qr": perfbench's tracer
+# books dense-path time as solver.dense_qr.* only under that name, until
+# the library records its own spans (ROADMAP item 4).
 METHODS = {"dense": "dense-qr", "sparse": "sparse-lu",
            "iterative": "normal-cg"}
 
@@ -52,16 +84,20 @@ def _system_parts(system):
 def solve_least_squares(system, force_path=None, compute_condition=True):
     """Minimize ||H c - r||_2 for the stacked system.
 
-    Up to DENSE_SOLVE_LIMIT unknowns the dense path runs, above it the
-    sparse LU path.  force_path overrides that choice: "dense", or
-    "iterative" for CG on the normal equations, which the size rule never
-    picks.  Numerical rank deficiency is reported, not fatal: the
-    solution (minimum-norm on the dense path) is returned with the flag
-    set and an infinite Gram condition.  A G that the sparse LU finds
-    exactly singular raises RuntimeError.  With compute_condition=False
-    the Gram condition is nan and the sparse paths skip its estimate.
-    setup_seconds covers forming the matrices to factor, solve_seconds
-    the factorization, solution and condition.
+    Up to DENSE_SOLVE_LIMIT unknowns the dense path runs: one Cholesky
+    of G = H'H, or, when G is numerically singular, one gelsd SVD of H.
+    Above it the sparse LU path runs.  force_path overrides that choice:
+    "dense", or "iterative" for CG on the normal equations, which the
+    size rule never picks.  Numerical rank deficiency is reported, not
+    fatal: the solution (minimum-norm on the dense path) is returned with
+    the flag set and an infinite Gram condition.  A G that the sparse LU
+    finds exactly singular raises RuntimeError.  The dense path always
+    computes the Gram condition, since it decides the fallback; with
+    compute_condition=False it is reported as nan, and the sparse paths
+    skip its estimate.  setup_seconds covers forming the matrices to
+    factor, solve_seconds the factorization, solution and condition.
+    The dense path's method is "dense-qr" whichever factorization ran
+    (see METHODS).
     """
     H, r = _system_parts(system)
     rows, cols = H.shape
@@ -72,18 +108,16 @@ def solve_least_squares(system, force_path=None, compute_condition=True):
     path = force_path or ("dense" if cols <= DENSE_SOLVE_LIMIT
                           else "sparse")
     t0 = time.perf_counter()
+    H = sp.csr_matrix(H) if sp.issparse(H) else np.asarray(H, dtype=float)
     if path == "dense":
-        Hd = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
+        G, b = _dense_normal_equations(H, r)
         t1 = time.perf_counter()
-        rank_tol = max(rows, cols) * np.finfo(float).eps
-        c, _, rank, s = scipy.linalg.lstsq(Hd, r, lapack_driver="gelsd",
-                                           cond=rank_tol)
-        deficient = rank < cols
-        cond = np.inf if deficient else (s[0] / s[-1]) ** 2
+        solved = _cholesky_solve(H, G, b)
+        del G   # R overwrote it; freed before any fallback
+        c, cond, deficient = solved or _svd_solve(H, r)
     else:
-        Hs = sp.csr_matrix(H)
-        G = (Hs.T @ Hs).tocsc()
-        b = Hs.T @ r
+        G = (H.T @ H).tocsc()
+        b = H.T @ r
         t1 = time.perf_counter()
         if path == "sparse":
             lu = _sparse_lu(G, rows, cols)
@@ -91,7 +125,7 @@ def solve_least_squares(system, force_path=None, compute_condition=True):
         else:
             c = _normal_cg(G, b)
             lu = _sparse_lu(G, rows, cols) if compute_condition else None
-        cond = _gram_condition_estimate(G, lu) if compute_condition else np.nan
+        cond = _gram_condition(H, lu.solve) if compute_condition else np.nan
         deficient = np.isinf(cond)
     t2 = time.perf_counter()
     if not compute_condition:
@@ -99,6 +133,52 @@ def solve_least_squares(system, force_path=None, compute_condition=True):
     residual = float(np.linalg.norm(H @ c - r))
     return SolveResult(c, residual, float(cond), t1 - t0, t2 - t1,
                        METHODS[path], rank_deficient=bool(deficient))
+
+
+def _dense_normal_equations(H, r):
+    """G = H'H, dense in Fortran order with at least the upper triangle
+    that Cholesky reads, and b = H'r.
+
+    H is densified, for one BLAS syrk that copies nothing, only when it
+    is at least DENSE_FILL dense and the copy fits in GRAM_BYTES.
+    """
+    rows, cols = H.shape
+    if sp.issparse(H) and (H.nnz < DENSE_FILL * rows * cols
+                           or rows * cols * 8 > GRAM_BYTES):
+        return (H.T @ H).toarray(order="F"), H.T @ r
+    Hd = H.toarray() if sp.issparse(H) else H
+    return scipy.linalg.blas.dsyrk(1.0, Hd.T), Hd.T @ r
+
+
+def _cholesky_solve(H, G, b):
+    """(c, cond, False) from G = R'R, factored over G.
+
+    None when G is numerically singular: Cholesky fails, or the Gram
+    condition reaches GRAM_CONDITION_MAX.
+    """
+    try:
+        R = scipy.linalg.cholesky(G, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    if G.shape[0] <= EXACT_CONDITION_LIMIT:
+        s = scipy.linalg.svdvals(R, check_finite=False)
+        cond = (s[0] / s[-1]) ** 2
+    else:
+        cond = _gram_condition(H, lambda v: scipy.linalg.cho_solve(
+            (R, False), v, check_finite=False))
+    if not cond < GRAM_CONDITION_MAX:
+        return None
+    c = scipy.linalg.cho_solve((R, False), b, check_finite=False)
+    return c, cond, False
+
+
+def _svd_solve(H, r):
+    """Minimum-norm (c, cond, rank_deficient) by one gelsd SVD of H."""
+    Hd = H.toarray() if sp.issparse(H) else H
+    c, _, rank, s = scipy.linalg.lstsq(Hd, r, lapack_driver="gelsd",
+                                       cond=GRAM_CONDITION_MAX ** -0.5)
+    deficient = rank < H.shape[1]
+    return c, np.inf if deficient else (s[0] / s[-1]) ** 2, deficient
 
 
 def _sparse_lu(G, rows, cols):
@@ -122,23 +202,26 @@ def _normal_cg(G, b):
     return c
 
 
-def _gram_condition_estimate(G, lu):
-    """||G|| ||G^-1|| by 60 power steps on G and 60 on G^-1 (via lu).
+def _gram_condition(H, solve):
+    """||G|| ||G^-1|| for G = H'H; solve(v) applies G^-1.
 
-    Returns +inf when either iteration collapses to zero or overflows.
+    Each norm is the largest eigenvalue from one Lanczos run; +inf when
+    either run fails or gives a non-positive or non-finite value.
     """
-    rng = np.random.default_rng(0)
-    norms = []
-    for apply in (G.dot, lu.solve):
-        v = rng.standard_normal(G.shape[0])
-        for _ in range(60):
-            v = apply(v)
-            nrm = np.linalg.norm(v)
-            if not np.isfinite(nrm) or nrm == 0.0:
-                return float("inf")
-            v /= nrm
-        norms.append(nrm)
-    return float(norms[0] * norms[1])
+    n = H.shape[1]
+    try:
+        cond = (_largest_eigenvalue(lambda v: H.T @ (H @ v), n)
+                * _largest_eigenvalue(solve, n))
+    except spla.ArpackError:
+        return float("inf")
+    return cond if np.isfinite(cond) and cond > 0 else float("inf")
+
+
+def _largest_eigenvalue(apply, n):
+    op = spla.LinearOperator((n, n), matvec=apply, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    return float(spla.eigsh(op, k=1, v0=v0, tol=1e-6,
+                            return_eigenvectors=False)[0])
 
 
 @dataclass(frozen=True)

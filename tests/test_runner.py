@@ -323,3 +323,21 @@ class TestCli:
                          str(cfg2)]) == 0
         assert (out / "a" / "report.txt").exists()
         assert (out / "b" / "report.txt").exists()
+
+    def test_sweep_checks_every_config_first(self, tmp_path, capsys):
+        good = tmp_path / "good.cfg"
+        good.write_text(FAST_CFG)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(FAST_CFG + "lambda = 0\n")
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", str(good), str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {bad}: lambda must be > 0, got 0.0"]
+        assert not out.exists()
+
+    def test_sweep_names_file_once(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("degree = 4\n")
+        assert cli_main(["sweep", str(bad)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: {bad}:1: unknown key 'degree'")

@@ -1,12 +1,41 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import ipbm.solver as solver_mod
+from ipbm.assembly import (assemble_ipbc, assemble_ipbf,
+                           collocation_points_tet)
+from ipbm.geometry import (farthest_point_downsample, fibonacci_sphere,
+                           unit_sphere_domain)
+from ipbm.problems import make_preset
 from ipbm.solver import convergence_rate, evaluate_errors, solve_least_squares
+from ipbm.tet_spline import build_s0d_space, build_type5_partition
 from ipbm.tp_spline import build_tp_space, interpolate_tp
 
 UNIT_BOX = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+LAM = LAM_S = 0.01
+
+
+@pytest.fixture(scope="module")
+def sphere_boundary():
+    dom = unit_sphere_domain()
+    cloud = fibonacci_sphere(20000, dom.sphere_center, dom.sphere_radius,
+                             seed=42)
+    return farthest_point_downsample(cloud, 500, seed=42, start=0)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's shape."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestLeastSquares:
@@ -63,6 +92,22 @@ class TestLeastSquares:
         assert dense.method == "dense-qr"
         assert sparse.method == "sparse-lu"
 
+    @pytest.mark.parametrize("patch", [{}, {"DENSE_FILL": 1.0},
+                                       {"GRAM_BYTES": 0}])
+    def test_gram_product_choice_keeps_solution(self, monkeypatch, patch):
+        # 10% fill takes the BLAS product unless too sparse or too large
+        rng = np.random.default_rng(17)
+        H = sp.vstack([sp.random(300, 80, density=0.1, random_state=18,
+                                 data_rvs=rng.standard_normal),
+                       sp.eye(80)]).tocsr()
+        r = rng.normal(size=380)
+        oracle = np.linalg.lstsq(H.toarray(), r, rcond=None)[0]
+        for name, value in patch.items():
+            monkeypatch.setattr(solver_mod, name, value)
+        res = solve_least_squares((H, r))
+        assert np.abs(res.coefficients - oracle).max() < 1e-12
+        assert res.method == "dense-qr"
+
     def test_singular_gram_on_sparse_path_raises(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "DENSE_SOLVE_LIMIT", 10)
         H = sp.random(60, 20, density=0.3, random_state=0).tolil()
@@ -95,6 +140,46 @@ class TestLeastSquares:
         H[:, 4] = H[:, 0] + H[:, 1]  # dependent column
         res = solve_least_squares((H, rng.normal(size=20)))
         assert res.rank_deficient
+
+    @pytest.mark.parametrize("n", [30, 250])
+    def test_column_scaled_gram_condition_1e12(self, n):
+        # cond(G) about 1e12; n=250 takes the Lanczos estimate
+        rng = np.random.default_rng(13)
+        H = rng.normal(size=(2 * n + 100, n)) * np.logspace(0, -6, n)
+        r = rng.normal(size=len(H))
+        oracle = scipy.linalg.lstsq(H, r, lapack_driver="gelsd")[0]
+        s = np.linalg.svd(H, compute_uv=False)
+        res = solve_least_squares((H, r))
+        assert 1e11 < res.gram_condition < 1e13
+        assert not res.rank_deficient
+        err = np.linalg.norm(res.coefficients - oracle)
+        assert err < 1e-6 * np.linalg.norm(oracle)
+        want = (s[0] / s[-1]) ** 2
+        assert abs(res.gram_condition - want) < 1e-6 * want
+
+    def test_nearly_dependent_column_takes_fallback(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        H = rng.normal(size=(80, 12))
+        H[:, 11] = H[:, 0] + H[:, 1] + 1e-10 * rng.normal(size=80)
+        r = rng.normal(size=80)
+        svd_calls = _count_calls(monkeypatch, scipy.linalg, "lstsq")
+        res = solve_least_squares((H, r))
+        assert svd_calls == [H.shape]
+        assert res.rank_deficient and res.gram_condition == np.inf
+        minimum_norm = np.linalg.lstsq(
+            H, r, rcond=solver_mod.GRAM_CONDITION_MAX ** -0.5)[0]
+        assert np.abs(res.coefficients - minimum_norm).max() < 1e-12
+
+    def test_type5_dc2_takes_fallback(self, monkeypatch, sphere_boundary):
+        part = build_type5_partition(UNIT_BOX, 3)
+        space = build_s0d_space(part, 5)
+        gamma = collocation_points_tet(part, 2)
+        system = assemble_ipbc(space, make_preset("sin5", "laplace"),
+                               gamma, sphere_boundary, LAM, LAM_S)
+        svd_calls = _count_calls(monkeypatch, scipy.linalg, "lstsq")
+        res = solve_least_squares(system)
+        assert svd_calls == [system.H.shape]
+        assert res.rank_deficient and res.method == "dense-qr"
 
     def test_underdetermined_rejected(self):
         with pytest.raises(ValueError):
@@ -141,6 +226,39 @@ class TestConditionNumber:
         want = (s[0] / s[-1]) ** 2
         got = _gram_condition(sp.csr_matrix(H))
         assert want / 2 <= got <= want * 2
+
+
+class TestOneFactorization:
+    """Full-rank dense-path systems are factored by one Cholesky only."""
+
+    @pytest.fixture
+    def cholesky_calls(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second factorization was run")
+        monkeypatch.setattr(scipy.linalg, "lstsq", refuse)
+        monkeypatch.setattr(solver_mod.spla, "splu", refuse)
+        return _count_calls(monkeypatch, scipy.linalg, "cholesky")
+
+    def test_sparse_system(self, cholesky_calls):
+        rng = np.random.default_rng(15)
+        H = sp.vstack([sp.random(500, 250, density=0.02, random_state=16,
+                                 data_rvs=rng.standard_normal),
+                       sp.eye(250)]).tocsr()
+        res = solve_least_squares((H, rng.normal(size=750)))
+        assert cholesky_calls == [(250, 250)]
+        assert not res.rank_deficient and np.isfinite(res.gram_condition)
+
+    @pytest.mark.parametrize("space_kind", ["tensor-product", "type5"])
+    def test_ipbf_system(self, cholesky_calls, sphere_boundary, space_kind):
+        if space_kind == "type5":
+            space = build_s0d_space(build_type5_partition(UNIT_BOX, 3), 4)
+        else:
+            space = build_tp_space(UNIT_BOX, 4, (4, 4, 4))
+        system = assemble_ipbf(space, make_preset("sin5", "laplace"),
+                               sphere_boundary, LAM, LAM_S)
+        res = solve_least_squares(system)
+        assert cholesky_calls == [(space.dim, space.dim)]
+        assert not res.rank_deficient and res.method == "dense-qr"
 
 
 class TestErrors:

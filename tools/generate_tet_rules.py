@@ -19,29 +19,25 @@ partition of the exactness degree.  A rule is accepted when every moment
 matches to 1e-13 relative, all weights are strictly positive, all nodes are
 strictly interior and pairwise distinct (``Structure.acceptable``).
 
-Two searches are run per degree, within its time budget:
+Each degree is found by node elimination within its time budget.
+Moments are imposed on an orthonormal basis of the S4-invariant
+polynomials, built by Arnoldi from the power sums p2, p3, p4 of b - 1/4.
+NNLS over a grid of candidate orbits gives an exact positive rule with a
+few hundred points.  Orbits are then dropped, or two generator entries
+merged (S1111 -> S211 -> S31/S22 -> S4), each step followed by a
+Gauss-Newton correction that keeps the rule positive and interior.  A
+rule that falls below the target is padded with light orbits; one that
+sticks above it is tried with combinations of up to three moves that
+land on the target.  Each attempt uses its own seed, so runs are
+reproducible.  Degree 12 needs an S1111 orbit: the squared Vandermonde
+of the barycentric coordinates is invariant, has degree 12, and vanishes
+on every orbit with a repeated coordinate.
 
-1. Node elimination (first half of the budget).  Moments are imposed on an
-   orthonormal basis of the S4-invariant polynomials, built by Arnoldi
-   from the power sums p2, p3, p4 of b - 1/4.  NNLS over a grid of
-   candidate orbits gives an exact positive rule with a few hundred
-   points.  Orbits are then dropped, or two generator entries merged
-   (S1111 -> S211 -> S31/S22 -> S4), each step followed by a Gauss-Newton
-   correction that keeps the rule positive and interior.  A rule that
-   falls below the target is padded with light orbits; one that sticks
-   above it is tried with combinations of up to three moves that land on
-   the target.  Each attempt uses its own seed, so runs are reproducible.
-   Degree 12 needs an S1111 orbit: the squared Vandermonde of the
-   barycentric coordinates is invariant, has degree 12, and vanishes on
-   every orbit with a repeated coordinate.
-2. Random restarts over all orbit structures with the target point count:
-   sample node parameters, solve for weights, and polish the joint vector
-   with Levenberg-Marquardt on relative moment residuals.
-
-Whichever search succeeds is polished once more on the relative monomial
-residuals and checkpointed into the tables file.  Run from the repository
-root: ``python tools/generate_tet_rules.py``.  Degrees already in the
-tables are kept.
+A rule found is polished once more on the relative monomial residuals
+and checkpointed into the tables file; a degree the search misses is
+reported and left out, and the run then exits 1.  Run from the
+repository root: ``python tools/generate_tet_rules.py``.  Degrees
+already in the tables are kept.
 """
 
 import itertools
@@ -60,12 +56,6 @@ ORBIT_NPARAM = {"S4": 0, "S31": 1, "S22": 1, "S211": 2, "S1111": 3}
 ORBIT_SIZE = {"S4": 1, "S31": 4, "S22": 6, "S211": 12, "S1111": 24}
 
 TARGETS = {4: 14, 6: 24, 8: 46, 10: 81, 12: 168}
-
-# Known abscissae giving a quick start at degree 4.
-SEEDS = {
-    4: (["S31", "S31", "S22"],
-        [0.3108859192633005, 0.09273525031089123, 0.04550370412564964]),
-}
 
 
 def _distinct_perms(pattern):
@@ -202,89 +192,6 @@ class Structure:
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
         np.fill_diagonal(d2, 1.0)
         return d2.min() > 1e-14
-
-
-def enumerate_structures(degree, npoints, max_extra=8):
-    """Orbit structures hitting npoints, ordered by excess unknowns."""
-    nconds = len(partitions_of(degree))
-    found = []
-    for n4 in range(2):
-        for a in range(13):
-            for b in range(11):
-                for c in range(13):
-                    rem = npoints - n4 - 4 * a - 6 * b - 12 * c
-                    if rem < 0 or rem % 24:
-                        continue
-                    d = rem // 24
-                    unknowns = n4 + 2 * a + 2 * b + 3 * c + 4 * d
-                    if nconds <= unknowns <= nconds + max_extra:
-                        orbits = (["S4"] * n4 + ["S31"] * a + ["S22"] * b
-                                  + ["S211"] * c + ["S1111"] * d)
-                        found.append((unknowns - nconds, orbits))
-    found.sort(key=lambda t: (t[0], len(t[1])))
-    return nconds, [o for _, o in found]
-
-
-def projected_residual(st, params):
-    """Variable-projection residual: weights eliminated by least squares."""
-    A = st._monomial_sums(params)
-    w, *_ = np.linalg.lstsq(A, st.moments, rcond=None)
-    return (A @ w - st.moments) / st.moments, w
-
-
-def search(degree, npoints, budget_s, rng):
-    nconds, structures = enumerate_structures(degree, npoints)
-    print(f"degree {degree}: {npoints} pts, {nconds} conditions, "
-          f"{len(structures)} structures", flush=True)
-    t0 = time.time()
-    attempt = passes = 0
-    seeded = False
-    while time.time() - t0 < budget_s:
-        for orbits in structures:
-            st = Structure(degree, orbits)
-            params = None
-            if degree in SEEDS and not seeded and SEEDS[degree][0] == orbits:
-                params = np.array(SEEDS[degree][1])
-                seeded = True
-            for trial in range(4):
-                attempt += 1
-                if params is None or trial > 0:
-                    params = st.sample_params(rng)
-                # stage 1: variable projection over node parameters only
-                try:
-                    sol = least_squares(
-                        lambda p: projected_residual(st, p)[0], params,
-                        method="lm" if nconds >= st.nparams else "trf",
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14,
-                        max_nfev=150 * (st.nparams + 1))
-                except Exception:
-                    continue
-                resid, w = projected_residual(st, sol.x)
-                if np.max(np.abs(resid)) > 1e-8:
-                    continue
-                # stage 2: joint polish of parameters and weights
-                x0 = np.concatenate([sol.x, w])
-                try:
-                    full = least_squares(
-                        st.residual, x0,
-                        method="lm" if nconds >= len(x0) else "trf",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                        max_nfev=200 * (len(x0) + 1))
-                except Exception:
-                    continue
-                if st.acceptable(full.x):
-                    pts, wts = st.expand(full.x)
-                    err = np.max(np.abs(st.residual(full.x)))
-                    print(f"degree {degree}: solved after {attempt} "
-                          f"restarts, orbits={orbits}, "
-                          f"max rel err {err:.2e}", flush=True)
-                    return pts, wts
-            params = None
-        passes += 1
-        print(f"  degree {degree}: pass {passes} over the structures, "
-              f"{attempt} restarts, {time.time() - t0:.0f}s", flush=True)
-    print(f"degree {degree}: FAILED after {attempt} restarts", flush=True)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +698,6 @@ def write_tables(results, path="src/ipbm/_tet_tables.py"):
 
 
 def main():
-    rng = np.random.default_rng(20240817)
     budgets = {4: 600, 6: 1800, 8: 7200, 10: 14400, 12: 21600}
     results = {}
     try:
@@ -801,20 +707,22 @@ def main():
         print("resuming with existing degrees", sorted(results), flush=True)
     except ImportError:
         pass
+    missed = []
     for degree, npoints in TARGETS.items():
         if degree in results:
             continue
-        t0 = time.time()
-        got = eliminate_search(degree, npoints, budgets[degree] / 2)
+        got = eliminate_search(degree, npoints, budgets[degree])
         if got is not None:
             got = polish(degree, *got)
         if got is None:
-            got = search(degree, npoints,
-                         budgets[degree] - (time.time() - t0), rng)
-        if got is not None:
-            results[degree] = got
-            write_tables(results)
+            print(f"degree {degree}: no {npoints}-point rule found within "
+                  f"{budgets[degree]} s", flush=True)
+            missed.append(degree)
+            continue
+        results[degree] = got
+        write_tables(results)
     print("generation finished:", sorted(results), flush=True)
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":
